@@ -80,13 +80,6 @@ LAYER_ALLOWED: dict[str, frozenset[str]] = {
     "chaos": frozenset({"cluster", "hw", "hv", "kernel", "enclave",
                         "core", "workloads", "trace", "scope", "crypto",
                         "errors", "knobs"}),
-    # ``warp`` (veil-warp) shards the fleet across worker processes: an
-    # orchestration tier above ``cluster``/``chaos``, and like chaos
-    # nothing below may import it -- a replica CVM must not know which
-    # process hosts it.
-    "warp": frozenset({"cluster", "chaos", "hw", "hv", "kernel",
-                       "enclave", "core", "workloads", "trace", "scope",
-                       "crypto", "errors", "knobs"}),
     # The analyzer itself must not depend on the tree it judges.
     "analysis": frozenset(),
 }

@@ -9,7 +9,7 @@ swept across load factors, recording achieved throughput and
 p50/p95/p99 cycle latency at each point -- plus one flagship run at the
 default config that must sustain the 1000-in-flight bar.
 
-Unlike the wall-clock benches (turbo/warp/scope), every number here is
+Unlike the wall-clock benches (turbo/scope), every number here is
 *virtual*: cycle latencies, virtual-time throughput, event counts.  The
 whole ``BENCH_surge.json`` artifact is therefore byte-reproducible --
 two runs of the bench on any machines produce identical files, which is
@@ -19,8 +19,14 @@ the determinism contract CI enforces on the smoke summary.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
+from ..core import boot
+from ..hv import attestation
 from ..surge import ARRIVALS, SurgeConfig, run_surge
 
 #: Load factors swept per arrival class (fractions of estimated fleet
@@ -94,6 +100,13 @@ def _sweep_point(arrivals: str, load: float, *, seed: int,
         latency=result.latency)
 
 
+def _adopt_keys(module_key, platform_key) -> None:
+    """Pool initializer: use the parent's process-wide RSA keys, so no
+    knee point depends on a worker's own key-generation entropy."""
+    boot._MODULE_KEY = module_key
+    attestation._PLATFORM_KEY = platform_key
+
+
 def smoke_summary(seed: int = 1) -> dict:
     """The small seeded run behind ``repro surge --smoke``.
 
@@ -112,10 +125,21 @@ def run_surge_bench(*, seed: int = 1, replicas: int = 8,
     """The full bench: flagship run, knee sweep, replay check."""
     flagship = run_surge(SurgeConfig(seed=seed, replicas=replicas,
                                      requests=requests))
-    knee = tuple(
-        _sweep_point(arrivals, load, seed=seed, replicas=replicas,
-                     requests=knee_requests)
-        for arrivals in sorted(ARRIVALS) for load in loads)
+    # Knee points are independent seeded runs, so they fan out across
+    # processes; ordered ``map`` keeps the artifact byte-identical to a
+    # serial sweep.
+    shapes, factors = zip(*[(arrivals, load)
+                            for arrivals in sorted(ARRIVALS)
+                            for load in loads])
+    sweep = partial(_sweep_point, seed=seed, replicas=replicas,
+                    requests=knee_requests)
+    with ProcessPoolExecutor(
+            max_workers=os.cpu_count(),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_adopt_keys,
+            initargs=(boot.module_signing_key(),
+                      attestation.platform_signing_key())) as pool:
+        knee = tuple(pool.map(sweep, shapes, factors))
     replay = json.dumps(smoke_summary(seed), sort_keys=True)
     replay_ok = replay == json.dumps(smoke_summary(seed), sort_keys=True)
     return SurgeBenchResult(

@@ -280,9 +280,16 @@ class ClusterReplica:
         if kind == "attest":
             return gateway.call_monitor(self.core, {"op": "attest"})
         if kind == "channel_init":
+            # Fabric input: a corrupted frame may lack the DH value, and
+            # VeilMon refuses a non-hex one.  Either way the relying
+            # party gets an error reply and retries the handshake.
+            peer_hex = message.get("peer_public_hex")
+            if not isinstance(peer_hex, str):
+                return {"status": "error",
+                        "reason": "malformed peer public value"}
             reply = gateway.call_monitor(self.core, {
                 "op": "user_channel_init",
-                "peer_public_hex": message["peer_public_hex"]})
+                "peer_public_hex": peer_hex})
             self.provision_data_channel()
             return reply
         if kind == "log_export":

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer
+from repro.analysis import Analyzer, run_analysis
+
+
+@pytest.fixture(scope="session")
+def live_report():
+    """One veil-lint report over the shipped tree, shared by every test
+    that only inspects it (the whole-tree pass is the slow part)."""
+    return run_analysis()
 
 
 @pytest.fixture

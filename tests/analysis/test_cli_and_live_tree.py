@@ -10,18 +10,18 @@ from repro.analysis.report import render_json, render_text
 
 
 class TestLiveTree:
-    def test_live_tree_has_no_errors(self):
+    def test_live_tree_has_no_errors(self, live_report):
         """The shipped sources satisfy every trust-boundary rule."""
-        report = run_analysis()
+        report = live_report
         assert report.errors == [], "\n" + render_text(report)
 
-    def test_live_tree_suppressions_are_justified(self):
-        report = run_analysis()
+    def test_live_tree_suppressions_are_justified(self, live_report):
+        report = live_report
         for finding in report.suppressed:
             assert finding.suppress_reason
 
-    def test_module_count_covers_the_package(self):
-        report = run_analysis()
+    def test_module_count_covers_the_package(self, live_report):
+        report = live_report
         assert report.module_count >= 80
 
 

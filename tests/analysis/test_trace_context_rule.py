@@ -85,10 +85,9 @@ class TestSuppression:
 
 
 class TestLiveTree:
-    def test_live_request_paths_carry_context(self):
+    def test_live_request_paths_carry_context(self, live_report):
         """Every fabric send in the shipped tree propagates or justifies."""
-        from repro.analysis import run_analysis
-        report = run_analysis()
+        report = live_report
         active = [f for f in report.findings
                   if f.rule == "trace-context" and not f.suppressed]
         assert active == []

@@ -13,7 +13,7 @@ class TestParser:
         assert set(sub.choices) == {"boot", "micro", "cs1", "fig4",
                                     "fig5", "fig6", "attacks", "ltp",
                                     "cluster", "chaos", "scope", "lint",
-                                    "flow", "trace", "turbo", "warp",
+                                    "flow", "trace", "turbo",
                                     "surge", "profile", "export",
                                     "ablations", "all"}
 

@@ -3,11 +3,14 @@
 Every bulk path must be behaviorally indistinguishable from the loop it
 replaced: same frame order out of the allocator, same bytes on disk,
 same cycle charges.  (The cipher fast path is pinned separately by the
-known-answer tests in ``tests/test_cipher_kat.py``.)
+known-answer tests in ``tests/test_cipher_kat.py``.)  At fleet scale the
+whole attested fleet must run cycle- and byte-identically with the
+``VEIL_WARP`` knob off and on.
 """
 
 import pytest
 
+from repro.cluster import ClusterConfig, run_cluster
 from repro.hw.platform import FrameAllocator
 from repro.kernel.diskfs import DiskSync, SUPERBLOCK_LBA
 
@@ -99,3 +102,28 @@ class TestDiskSyncParity:
 
     def test_superblock_lba_unchanged_by_fast_path(self):
         assert SUPERBLOCK_LBA == 8
+
+
+def fleet_fingerprint(result):
+    """Everything a fleet run pins: routing, handshake costs, every
+    cycle ledger, makespan, and the audit outcome with chain bytes."""
+    return {
+        "routed": result.requests_routed,
+        "by_replica": result.routed_by_replica,
+        "handshake": result.handshake_cycles,
+        "replica_cycles": result.replica_cycles,
+        "frontend_cycles": result.frontend_cycles,
+        "makespan": result.makespan_cycles,
+        "audit": [(a.replica, len(a.entries), a.verified, a.chain_hex)
+                  for a in result.audit.replicas],
+    }
+
+
+class TestKnobInvariance:
+    def test_bulk_copy_knob_does_not_change_cycles(self, monkeypatch):
+        config = ClusterConfig(replicas=3, requests=15, keyspace=4)
+        monkeypatch.setenv("VEIL_WARP", "0")
+        slow = run_cluster(config)
+        monkeypatch.setenv("VEIL_WARP", "1")
+        fast = run_cluster(config)
+        assert fleet_fingerprint(fast) == fleet_fingerprint(slow)
