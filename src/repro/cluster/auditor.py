@@ -14,7 +14,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from ..crypto.hashes import MeasurementChain
+from ..crypto.hashes import DigestChain
 from ..errors import SecurityViolation
 from ..hw.cycles import CycleLedger
 from ..trace.tracer import NULL_TRACER
@@ -122,7 +122,7 @@ class FleetAuditor:
              replica: "ClusterReplica") -> ReplicaAudit:
         """Page one replica's sealed export and verify its MAC chain."""
         entries: list[str] = []
-        chain_hex = MeasurementChain().hexdigest
+        chain_hex = DigestChain().hexdigest
         start: int | None = 0
         chunks = 0
         with self.tracer.span("cluster", "audit_pull",
@@ -133,7 +133,7 @@ class FleetAuditor:
                 chain_hex = payload["chain_hex"]
                 start = reply.get("next")
                 chunks += 1
-        recomputed = MeasurementChain()
+        recomputed = DigestChain()
         for entry in entries:
             recomputed.extend("log", entry.encode("utf-8"))
         verified = recomputed.hexdigest == chain_hex

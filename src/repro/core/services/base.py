@@ -6,6 +6,7 @@ import functools
 import typing
 
 from ...hw.memory import PAGE_SIZE, page_base
+from ...trace import NULL_SPAN
 
 if typing.TYPE_CHECKING:
     from ...hw.vcpu import VirtualCpu
@@ -22,6 +23,8 @@ def traced(op: str):
     def wrap(method):
         @functools.wraps(method)
         def inner(self, core, request):
+            if not self.machine.tracer.enabled:
+                return method(self, core, request)
             with self.trace_span(core, op):
                 return method(self, core, request)
         return inner
@@ -62,8 +65,11 @@ class ProtectedService:
         ``<service>:<op>`` so exported traces and the metrics registry
         break service time down per operation.
         """
-        self.machine.tracer.metrics.count("service", f"{self.name}:{op}")
-        return self.machine.tracer.span(
+        tracer = self.machine.tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        tracer.metrics.count("service", f"{self.name}:{op}")
+        return tracer.span(
             "service", f"{self.name}:{op}", vcpu=core.cpu_index,
             vmpl=core.instance.vmpl if core.instance is not None else -1,
             args=args or None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import typing
 
-from ...crypto.hashes import MeasurementChain
+from ...crypto.hashes import DigestChain
 from ...errors import SecurityViolation
 from ...hw.memory import PAGE_SIZE, page_base
 from ...kernel.audit import AuditEntry, AuditSink
@@ -48,7 +48,7 @@ class VeilSLog(ProtectedService):
         #: memory, exported inside the sealed channel record, so a remote
         #: auditor can detect any dropped/reordered/rewritten entry even
         #: if the relaying OS replays stale export pages.
-        self.chain = MeasurementChain()
+        self.chain = DigestChain()
 
     def handlers(self) -> dict:
         """DomSER request-dispatch table for this service."""
@@ -180,7 +180,7 @@ class VeilSLog(ProtectedService):
                 "only the remote user may clear protected logs")
         self.write_offset = 0
         self._index.clear()
-        self.chain = MeasurementChain()
+        self.chain = DigestChain()
 
 
 class VeilLogSink(AuditSink):

@@ -34,7 +34,7 @@ class MonitorGateway:
         self.switch_count = 0
 
     def _kernel_ghcb(self, core: "VirtualCpu") -> Ghcb:
-        return Ghcb(self.kernel.ghcb_ppns[core.cpu_index])
+        return self.kernel.machine.ghcb(self.kernel.ghcb_ppns[core.cpu_index])
 
     def _switch(self, core: "VirtualCpu", target_vmpl: int) -> None:
         # Enter kernel mode for the privileged MSR write, then exit.  No

@@ -24,6 +24,7 @@ from ..hw.memory import PAGE_SIZE, page_base
 from ..hw.pagetable import GuestPageTable, LinearWindow
 from ..hw.rmp import Access
 from ..hw.vmsa import RegisterFile, Vmsa
+from ..trace import NULL_SPAN
 from .domains import VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT
 from .idcb import Idcb
 
@@ -323,7 +324,7 @@ class VeilMon:
     # ------------------------------------------------------------------
 
     def _mon_ghcb(self, core: "VirtualCpu") -> Ghcb:
-        return Ghcb(self.mon_ghcb_ppns[core.cpu_index])
+        return self.machine.ghcb(self.mon_ghcb_ppns[core.cpu_index])
 
     def switch_from_mon(self, core: "VirtualCpu", target_vmpl: int) -> None:
         """Request the hypervisor switch this core out of DomMON."""
@@ -385,7 +386,7 @@ class VeilMon:
     # -- DomSER dispatch (protected services) ------------------------------
 
     def _ser_ghcb(self, core: "VirtualCpu") -> Ghcb:
-        return Ghcb(self.ser_ghcb_ppns[core.cpu_index])
+        return self.machine.ghcb(self.ser_ghcb_ppns[core.cpu_index])
 
     def switch_from_ser(self, core: "VirtualCpu", target_vmpl: int) -> None:
         """Request the hypervisor switch this core out of DomSER."""
@@ -411,11 +412,15 @@ class VeilMon:
             idcb = self.ser_idcbs[core.cpu_index]
         request = idcb.read_request(self.machine.memory)
         reply_to = int(request.get("_reply_to", VMPL_UNT))
-        op = str(request.get("op", ""))
-        self.machine.tracer.metrics.count("ser_request", op)
-        with self.machine.tracer.span("ser", f"request:{op}",
-                                      vcpu=core.cpu_index,
-                                      vmpl=VMPL_SER):
+        tracer = self.machine.tracer
+        if tracer.enabled:
+            op = str(request.get("op", ""))
+            tracer.metrics.count("ser_request", op)
+            span = tracer.span("ser", f"request:{op}",
+                               vcpu=core.cpu_index, vmpl=VMPL_SER)
+        else:
+            span = NULL_SPAN
+        with span:
             reply = self._dispatch(core, self.ser_handlers, request)
             idcb.write_reply(self.machine.memory, reply)
             self.switch_from_ser(core, reply_to)

@@ -13,7 +13,6 @@ detectable.
 from __future__ import annotations
 
 import hmac
-import hashlib
 import secrets
 
 from ..errors import SecurityViolation
@@ -34,8 +33,8 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     out = bytearray()
     counter = 0
     while len(out) < length:
-        block = hmac.new(key, nonce + counter.to_bytes(8, "little"),
-                         hashlib.sha256).digest()
+        block = hmac.digest(key, nonce + counter.to_bytes(8, "little"),
+                            "sha256")
         out.extend(block)
         counter += 1
     return bytes(out[:length])
@@ -67,7 +66,7 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes,
     counter) into the tag without encrypting it.
     """
     ct = stream_xor(key, nonce, plaintext)
-    tag = hmac.new(key, b"seal" + nonce + aad + ct, hashlib.sha256).digest()
+    tag = hmac.digest(key, b"seal" + nonce + aad + ct, "sha256")
     return ct + tag
 
 
@@ -81,8 +80,7 @@ def open_sealed(key: bytes, nonce: bytes, sealed: bytes,
     if len(sealed) < TAG_BYTES:
         raise SecurityViolation("sealed blob too short")
     ct, tag = sealed[:-TAG_BYTES], sealed[-TAG_BYTES:]
-    expect = hmac.new(key, b"seal" + nonce + aad + ct,
-                      hashlib.sha256).digest()
+    expect = hmac.digest(key, b"seal" + nonce + aad + ct, "sha256")
     if not hmac.compare_digest(tag, expect):
         raise SecurityViolation("authenticated decryption failed")
     return stream_xor(key, nonce, ct)

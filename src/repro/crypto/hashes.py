@@ -21,24 +21,24 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-class MeasurementChain:
-    """An extendable measurement, SGX/TPM style.
+class DigestChain:
+    """A running hash chain that keeps only its current digest.
 
     Each :meth:`extend` folds a labeled record into the running digest:
-    ``digest = SHA256(digest || label || len(data) || data)``.  The order of
-    extensions matters, which is what makes layout tampering detectable.
+    ``digest = SHA256(digest || label || len(data) || data)``.  The order
+    of extensions matters, which is what makes reordering or rewriting
+    detectable.  Memory stays constant however many records are folded
+    in, so VeilS-LOG chains every audit record through one of these.
     """
 
     def __init__(self):
         self._digest = b"\x00" * 32
-        self._events: list[tuple[str, bytes]] = []
 
     def extend(self, label: str, data: bytes) -> None:
         """Fold a labeled record into the running digest."""
         record = (self._digest + label.encode("utf-8") +
                   len(data).to_bytes(8, "little") + data)
         self._digest = sha256(record)
-        self._events.append((label, sha256(data)))
 
     @property
     def digest(self) -> bytes:
@@ -47,6 +47,24 @@ class MeasurementChain:
     @property
     def hexdigest(self) -> str:
         return self._digest.hex()
+
+
+class MeasurementChain(DigestChain):
+    """An extendable measurement, SGX/TPM style.
+
+    A :class:`DigestChain` that also keeps a per-event log (label plus
+    the hash of each record) for audit and debugging, as enclave
+    measurements do.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._events: list[tuple[str, bytes]] = []
+
+    def extend(self, label: str, data: bytes) -> None:
+        """Fold a labeled record into the digest and log its hash."""
+        super().extend(label, data)
+        self._events.append((label, sha256(data)))
 
     def event_log(self) -> list[tuple[str, str]]:
         """(label, per-event hash) pairs for audit/debug."""

@@ -78,7 +78,7 @@ class EnclaveRuntime:
         return thread[1]
 
     def _user_ghcb(self) -> Ghcb:
-        return Ghcb(self.thread_ghcb_ppn)
+        return self.system.machine.ghcb(self.thread_ghcb_ppn)
 
     def _arm_ghcb(self) -> None:
         """OS-side step: point the live GHCB MSR at the user GHCB before

@@ -29,6 +29,7 @@ from ..hw.memory import page_base
 from ..hw.pagetable import PageFault
 from ..hw.rmp import VMPL_ENC, VMPL_MON, VMPL_UNT, vmpl_name
 from ..hw.vmsa import Vmsa
+from ..trace import NULL_SPAN
 from .attestation import SecureProcessor
 from .devices import VirtioBlock, VirtioConsole
 
@@ -192,11 +193,12 @@ class Hypervisor:
         ghcb_gpa = exited.regs.ghcb_msr
         if ghcb_gpa == 0:
             self.machine.halt("VMGEXIT with no GHCB published")
-        ghcb = Ghcb(ghcb_gpa >> 12)
+        ghcb = self.machine.ghcb(ghcb_gpa >> 12)
         message = ghcb.read_message(self.machine.memory)
         op = message.get("op")
         self.exit_log.append(f"vmgexit:{op}")
-        self.machine.tracer.metrics.count("vmgexit", str(op))
+        if self.machine.tracer.enabled:
+            self.machine.tracer.metrics.count("vmgexit", str(op))
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             self.machine.halt(f"unknown VMGEXIT op {op!r}")
@@ -210,9 +212,11 @@ class Hypervisor:
         veil-lint's ``trace-span`` rule), so hypervisor-side servicing of
         each exit is visible per-operation in exported traces.
         """
-        return self.machine.tracer.span(
-            "hv", name, vcpu=core.cpu_index, vmpl=exited.vmpl,
-            args=args or None)
+        tracer = self.machine.tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        return tracer.span("hv", name, vcpu=core.cpu_index,
+                           vmpl=exited.vmpl, args=args or None)
 
     def _enter(self, core: "VirtualCpu", vmsa: Vmsa) -> None:
         """VMENTER ``core`` on ``vmsa`` (charges the enter half-cost)."""
@@ -244,9 +248,10 @@ class Hypervisor:
                 self.machine.halt(
                     f"no VMSA for vcpu {exited.vcpu_id} at "
                     f"VMPL-{target_vmpl}")
-            self.machine.tracer.metrics.count(
-                "switch",
-                f"{vmpl_name(exited.vmpl)}->{vmpl_name(target_vmpl)}")
+            if self.machine.tracer.enabled:
+                self.machine.tracer.metrics.count(
+                    "switch",
+                    f"{vmpl_name(exited.vmpl)}->{vmpl_name(target_vmpl)}")
             self._enter(core, target)
 
     def _op_register_vmsa(self, core, exited: Vmsa, ghcb: Ghcb,

@@ -12,6 +12,7 @@ from .cycles import CostModel, CycleLedger
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+_OFFSET_MASK = PAGE_SIZE - 1
 
 
 def page_number(addr: int) -> int:
@@ -50,6 +51,11 @@ class PhysicalMemory:
         self._pages: dict[int, bytearray] = {}
         self.cost = cost or CostModel()
         self.ledger = ledger or CycleLedger()
+        # Pre-resolved ``copy`` charge for the in-page fast paths: the
+        # same two adds CycleLedger.charge makes (the ledger clears its
+        # category counter in place, so the bucket survives a reset).
+        self._copy_x1000 = self.cost.copy_per_byte_x1000
+        self._by_category = self.ledger.by_category
 
     # -- page-level access -------------------------------------------------
 
@@ -75,20 +81,22 @@ class PhysicalMemory:
 
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` raw bytes; charges copy cost to the ledger."""
+        off = addr & _OFFSET_MASK
+        if 0 < length <= PAGE_SIZE - off and 0 <= addr <= self.size - length:
+            # In-page fast path: one bounds check, the pre-resolved copy
+            # charge, one slice off the backing page (reads never
+            # materialize pages -- a fresh page is zeros either way).
+            cycles = length * self._copy_x1000 // 1000
+            self.ledger.total += cycles
+            self._by_category["copy"] += cycles
+            buf = self._pages.get(addr >> PAGE_SHIFT)
+            if buf is None:
+                return bytes(length)
+            return bytes(buf[off:off + length])
         self._check_range(addr, length)
         self.ledger.charge("copy", self.cost.copy_cost(length))
         if length == 0:
             return b""
-        off = addr & (PAGE_SIZE - 1)
-        if off + length <= PAGE_SIZE:
-            # Intra-page fast path: one zero-copy slice off the backing
-            # page (reads never materialize pages -- a fresh page is zeros
-            # either way).
-            buf = self._pages.get(addr >> PAGE_SHIFT)
-            if buf is None:
-                self._check_ppn(addr >> PAGE_SHIFT)
-                return bytes(length)
-            return bytes(memoryview(buf)[off:off + length])
         out = bytearray(length)
         pos = 0
         while pos < length:
@@ -102,20 +110,27 @@ class PhysicalMemory:
 
     def write(self, addr: int, data: bytes) -> None:
         """Write raw bytes; charges copy cost to the ledger."""
-        self._check_range(addr, len(data))
-        self.ledger.charge("copy", self.cost.copy_cost(len(data)))
-        if not data:
+        length = len(data)
+        off = addr & _OFFSET_MASK
+        if 0 < length <= PAGE_SIZE - off and 0 <= addr <= self.size - length:
+            # In-page fast path (see read).
+            cycles = length * self._copy_x1000 // 1000
+            self.ledger.total += cycles
+            self._by_category["copy"] += cycles
+            ppn = addr >> PAGE_SHIFT
+            buf = self._pages.get(ppn)
+            if buf is None:
+                buf = self._pages[ppn] = bytearray(PAGE_SIZE)
+            buf[off:off + length] = data
             return
-        off = addr & (PAGE_SIZE - 1)
-        if off + len(data) <= PAGE_SIZE:
-            self.page(addr >> PAGE_SHIFT)[off:off + len(data)] = data
-            return
+        self._check_range(addr, length)
+        self.ledger.charge("copy", self.cost.copy_cost(length))
         pos = 0
-        while pos < len(data):
+        while pos < length:
             cur = addr + pos
             ppn = page_number(cur)
             off = page_offset(cur)
-            chunk = min(len(data) - pos, PAGE_SIZE - off)
+            chunk = min(length - pos, PAGE_SIZE - off)
             self.page(ppn)[off:off + chunk] = data[pos:pos + chunk]
             pos += chunk
 
@@ -133,7 +148,7 @@ class PhysicalMemory:
         if buf is None:
             self._check_ppn(ppn)
             return bytes(length)
-        return bytes(memoryview(buf)[offset:offset + length])
+        return bytes(buf[offset:offset + length])
 
     def page_write(self, ppn: int, offset: int, data: bytes) -> None:
         """Uncharged intra-page write (VCPU fast-path counterpart of

@@ -14,6 +14,7 @@ import typing
 from ..errors import CvmHalted, SimulationError
 from ..trace import NULL_TRACER, default_tracer
 from .cycles import CostModel, CycleLedger
+from .ghcb import Ghcb
 from .memory import PhysicalMemory
 from .pagetable import GuestPageTable
 from .rmp import Rmp
@@ -134,6 +135,20 @@ class SevSnpMachine:
         #: the kernel when it installs its IDT); used by the hardware's
         #: interrupt delivery path.
         self.idt_handler_vaddr: int = 0
+        #: ppn -> the one :class:`Ghcb` view of that page (see :meth:`ghcb`).
+        self._ghcb_views: dict[int, Ghcb] = {}
+
+    def ghcb(self, ppn: int) -> Ghcb:
+        """The shared :class:`Ghcb` view of page ``ppn``.
+
+        Guest and hypervisor use the same view of a page, so a message
+        one side wrote is not decoded again by the other when the page
+        bytes are unchanged (:class:`~repro.hw.codec.FrameMemo`).
+        """
+        view = self._ghcb_views.get(ppn)
+        if view is None:
+            view = self._ghcb_views[ppn] = Ghcb(ppn)
+        return view
 
     # -- page tables ---------------------------------------------------------
 

@@ -105,9 +105,10 @@ class VirtualCpu:
         # World switch: architectural TLB flush (paper's domain-switch
         # cost model already charges the switch; the flush is free).
         self.flush_tlb()
-        self.machine.tracer.instant(
-            "hw", "VMENTER", vcpu=self.cpu_index, vmpl=vmsa.vmpl,
-            args={"vcpu_id": vmsa.vcpu_id})
+        tracer = self.machine.tracer
+        if tracer.enabled:
+            tracer.instant("hw", "VMENTER", vcpu=self.cpu_index,
+                           vmpl=vmsa.vmpl, args={"vcpu_id": vmsa.vcpu_id})
 
     def hw_exit(self) -> Vmsa:
         """VMEXIT: seal register state back into the current VMSA."""
@@ -754,7 +755,7 @@ class VirtualCpu:
         """GHCB view for the published MSR value."""
         if self.regs.ghcb_msr == 0:
             raise SimulationError("GHCB MSR not initialized")
-        return Ghcb(self.regs.ghcb_msr >> 12)
+        return self.machine.ghcb(self.regs.ghcb_msr >> 12)
 
     # -- exits --------------------------------------------------------------------
 

@@ -34,10 +34,16 @@ class RegisterFile:
     efer_sce: bool = True            # syscall enable; illustrative only
 
     def copy(self) -> "RegisterFile":
-        """Deep copy of the register state."""
-        return RegisterFile(rip=self.rip, cpl=self.cpl, cr3=self.cr3,
-                            gprs=dict(self.gprs), ghcb_msr=self.ghcb_msr,
-                            efer_sce=self.efer_sce)
+        """Deep copy of the register state.
+
+        Runs twice per world switch (VMSA save and restore), so it copies
+        the instance dict directly instead of going through ``__init__``.
+        """
+        state = self.__dict__.copy()
+        state["gprs"] = self.gprs.copy()
+        regs = object.__new__(RegisterFile)
+        regs.__dict__ = state
+        return regs
 
 
 @dataclass

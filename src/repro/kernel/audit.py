@@ -18,9 +18,10 @@ sink's buffer; that is the attack VeilS-LOG defeats.
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import dataclass
+
+from ..hw.codec import encode
 
 if typing.TYPE_CHECKING:
     from ..hw.vcpu import VirtualCpu
@@ -49,10 +50,10 @@ class AuditEntry:
 
     def serialize(self) -> bytes:
         """JSON-encode the record for storage."""
-        return json.dumps({
+        return encode({
             "seq": self.seq, "cycles": self.cycles, "pid": self.pid,
             "kind": self.kind, "detail": self.detail,
-        }, sort_keys=True).encode("utf-8")
+        })
 
 
 class AuditSink:
@@ -156,9 +157,11 @@ class Kaudit:
                            kind="syscall",
                            detail={"syscall": name, "args": args_summary,
                                    "ret": repr(result)})
-        core.machine.tracer.instant(
-            "audit", f"append:{name}", vcpu=core.cpu_index, pid=pid,
-            args={"seq": entry.seq, "sink": self.sink.name})
+        tracer = core.machine.tracer
+        if tracer.enabled:
+            tracer.instant("audit", f"append:{name}", vcpu=core.cpu_index,
+                           pid=pid,
+                           args={"seq": entry.seq, "sink": self.sink.name})
         self.sink.append(core, entry)
 
     def log_event(self, core: "VirtualCpu", kind: str, detail: dict) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterFleet
+from repro.crypto import MeasurementChain
 from repro.errors import SecurityViolation
 
 
@@ -54,6 +55,26 @@ class TestAuditPull:
         link = fleet.links["replica1"]
         audit = fleet.auditor.pull(link, fleet.replicas["replica1"])
         assert not audit.verified
+
+    def test_log_chain_matches_auditor_recomputation(self):
+        """VeilS-LOG keeps only the running digest, and that digest is
+        byte for byte the chain the auditor (and a full measurement
+        chain with its per-event log) recomputes from the records."""
+        fleet = served_fleet(requests=30)
+        report = fleet.audit_all()
+        assert report.all_verified
+        by_name = {a.replica: a for a in report.replicas}
+        for name, replica in fleet.replicas.items():
+            chain = replica.system.log.chain
+            assert not hasattr(chain, "_events")
+            audit = by_name[name]
+            assert len(audit.entries) == replica.log_entry_count() > 0
+            assert audit.chain_hex == chain.hexdigest
+            full = MeasurementChain()
+            for entry in audit.entries:
+                full.extend("log", entry.encode("utf-8"))
+            assert full.digest == chain.digest
+            assert len(full.event_log()) == len(audit.entries)
 
     def test_auditor_pays_for_transfers(self):
         fleet = served_fleet()

@@ -1,5 +1,7 @@
 """Unit tests: privilege domains and IDCBs."""
 
+import json
+
 import pytest
 
 from repro.core.domains import (ALL_DOMAINS, DOM_ENC, DOM_MON, DOM_SER,
@@ -70,3 +72,87 @@ class TestIdcb:
     def test_empty_page_list_rejected(self):
         with pytest.raises(SimulationError):
             Idcb([], low_vmpl=3, high_vmpl=0)
+
+
+class TestIdcbDecodeSkip:
+    """A slot skips ``json.loads`` only for the exact frame it wrote."""
+
+    def make(self):
+        mem = PhysicalMemory(16 * PAGE_SIZE, cost=free_cost_model(),
+                             ledger=CycleLedger())
+        return mem, Idcb([4, 5], low_vmpl=3, high_vmpl=1)
+
+    @staticmethod
+    def flip(mem, addr, old: bytes, new: bytes):
+        """Rewrite ``old`` to ``new`` inside the page at ``addr``."""
+        raw = mem.read(addr, PAGE_SIZE)
+        at = raw.index(old)
+        mem.write(addr + at, new)
+
+    def test_own_frame_is_not_decoded_again(self, monkeypatch):
+        mem, idcb = self.make()
+        idcb.write_request(mem, {"op": "log_append", "_reply_to": 3})
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("json.loads called for an unchanged frame")
+
+        monkeypatch.setattr(json, "loads", no_decode)
+        assert idcb.read_request(mem) == {"_reply_to": 3,
+                                          "op": "log_append"}
+
+    def test_flipped_value_byte_is_seen(self):
+        mem, idcb = self.make()
+        idcb.write_request(mem, {"op": "log_append", "record_hex": "abcd"})
+        self.flip(mem, 4 * PAGE_SIZE, b"abcd", b"abce")
+        assert idcb.read_request(mem)["record_hex"] == "abce"
+
+    def test_flipped_reply_byte_is_seen(self):
+        mem, idcb = self.make()
+        idcb.write_reply(mem, {"status": "ok"})
+        self.flip(mem, 4 * PAGE_SIZE + idcb.slot_size, b'"ok"', b'"no"')
+        assert idcb.read_reply(mem) == {"status": "no"}
+
+    def test_flipped_length_is_seen(self):
+        mem, idcb = self.make()
+        idcb.write_request(mem, {"op": "ping"})
+        mem.write(4 * PAGE_SIZE, b"\x00")
+        with pytest.raises(SimulationError):
+            idcb.read_request(mem)
+        mem.write(4 * PAGE_SIZE, b"\xff\xff\x00\x00")
+        with pytest.raises(SimulationError):
+            idcb.read_request(mem)
+
+    @pytest.mark.parametrize("payload", [
+        {"pages": [1, [2, 3], {"n": None}]},
+        {1: "int key", 2: [True, False]},
+        {"tuple": (1, 2), "nested": {"t": ("a",)}},
+        {"z": 1.5, "a": -0.0},
+        {"pair": "\ud83d\ude00", "plain": "x"},
+        {"z": 1, "a": True, "m": None},
+    ])
+    def test_decodes_exactly_as_json_loads(self, payload):
+        mem, idcb = self.make()
+        expected = json.loads(json.dumps(payload, sort_keys=True))
+        idcb.write_request(mem, payload)
+        idcb.write_reply(mem, payload)
+        for got in (idcb.read_request(mem), idcb.read_reply(mem)):
+            assert got == expected
+            assert list(got) == list(expected)
+            assert [type(v) for v in got.values()] == \
+                [type(v) for v in expected.values()]
+
+    def test_returned_dict_is_a_fresh_copy(self):
+        mem, idcb = self.make()
+        idcb.write_request(mem, {"op": "ping", "seq": 1})
+        first = idcb.read_request(mem)
+        first["op"] = "mutated"
+        first["extra"] = True
+        assert idcb.read_request(mem) == {"op": "ping", "seq": 1}
+        assert idcb.read_request(mem) is not idcb.read_request(mem)
+
+    def test_writer_payload_mutation_does_not_leak(self):
+        mem, idcb = self.make()
+        payload = {"op": "ping", "seq": 1}
+        idcb.write_request(mem, payload)
+        payload["seq"] = 2
+        assert idcb.read_request(mem) == {"op": "ping", "seq": 1}

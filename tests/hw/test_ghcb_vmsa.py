@@ -69,6 +69,17 @@ class TestRegisterFile:
         clone.gprs["rax"] = 99
         assert regs.gprs["rax"] == 7
 
+    def test_copy_preserves_every_field(self):
+        regs = RegisterFile(rip=0x1000, cpl=3, cr3=42, ghcb_msr=0x5000,
+                            efer_sce=False)
+        regs.gprs["r15"] = 9
+        clone = regs.copy()
+        assert type(clone) is RegisterFile
+        assert clone == regs
+        assert clone.gprs is not regs.gprs
+        clone.rip = 0
+        assert regs.rip == 0x1000
+
 
 class TestVmsa:
     def test_save_seals_a_copy(self):

@@ -68,3 +68,29 @@ def test_surge_scope_records_are_complete():
     assert len(run["records"]) == CONFIG.requests
     statuses = {r["status"] for r in run["records"]}
     assert statuses <= {"ok", "failed"}       # nothing left open
+
+
+def _ledgers_and_summary(tracer) -> dict:
+    result = run_surge(CONFIG, tracer=tracer)
+    return {
+        "summary": json.dumps(result.summary_dict(), sort_keys=True),
+        "ledgers": {
+            name: dict(replica.ledger.by_category)
+            for name, replica in sorted(result.fleet.replicas.items())
+        },
+        "frontend_ledger": dict(
+            result.fleet.frontend.ledger.by_category),
+    }
+
+
+def test_tracer_on_off_parity_at_fleet_scale():
+    """Tracing is an instrument, not a workload: the same surge run with
+    the span tracer on and off gives identical per-replica and front-end
+    ledgers and an identical summary.  This pins every tracing-off guard
+    on the audited-syscall path (a guard that skipped a charge, or a
+    traced branch that made one, would show up here)."""
+    traced = _ledgers_and_summary(Tracer())
+    untraced = _ledgers_and_summary(None)
+    assert traced["ledgers"] and traced["frontend_ledger"]
+    for key in traced:
+        assert traced[key] == untraced[key], f"{key} diverged with tracing"
