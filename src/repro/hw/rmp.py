@@ -67,6 +67,10 @@ class Access(enum.Flag):
         return cls.READ | cls.WRITE
 
 
+#: Integer mask of the two execute bits (shared pages never execute).
+_EXEC_BITS = Access.UEXEC.value | Access.SEXEC.value
+
+
 def _default_perms() -> list[Access]:
     # VMPL-0 always has full access; others start with none.
     return [Access.all(), Access.NONE, Access.NONE, Access.NONE]
@@ -83,10 +87,15 @@ class RmpEntry:
     perms: list[Access] = field(default_factory=_default_perms)
 
     def allows(self, vmpl: int, access: Access) -> bool:
-        """Whether ``vmpl`` holds every bit of ``access``."""
+        """Whether ``vmpl`` holds every bit of ``access``.
+
+        An integer bit test on the members' values: ``Flag.__and__``
+        would build a member per call on every verdict refill.
+        """
         if vmpl == 0:
             return True
-        return (self.perms[vmpl] & access) == access
+        want = access._value_
+        return self.perms[vmpl]._value_ & want == want
 
 
 class Rmp:
@@ -303,7 +312,7 @@ class Rmp:
         self._check_vmpl(vmpl)
         ent = self.peek(ppn)
         if ent.shared:
-            if access & (Access.UEXEC | Access.SEXEC):
+            if access._value_ & _EXEC_BITS:
                 raise NestedPageFault(
                     f"execute from shared page {ppn:#x}", gpa=ppn << 12,
                     vmpl=vmpl, access=access.name or str(access))

@@ -23,9 +23,11 @@ from __future__ import annotations
 import json
 import typing
 
-from ..trace.export import chrome_trace
+from ..trace.export import event_dicts, json_chunks, other_data, write_chunks
 
 if typing.TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .collector import FleetScope
 
 #: Synthetic process ids for the fleet-level tracks (the per-machine
@@ -39,76 +41,69 @@ CHAOS_TRACK = 92
 _LIFTED_CLUSTER_INSTANTS = ("replica_quarantined", "reattest_failed")
 
 
-def _track_metadata() -> list:
+def _track_metadata() -> "Iterator[dict]":
     """Name the three fleet-level tracks."""
-    events = []
     for pid, name in ((REQUESTS_TRACK, "fleet:requests"),
                       (FABRIC_TRACK, "fleet:fabric"),
                       (CHAOS_TRACK, "fleet:chaos")):
-        events.append({"ph": "M", "name": "process_name", "pid": pid,
-                       "tid": 0, "args": {"name": name}})
-        events.append({"ph": "M", "name": "thread_name", "pid": pid,
-                       "tid": 0, "args": {"name": name}})
-    return events
+        yield {"args": {"name": name}, "name": "process_name",
+               "ph": "M", "pid": pid, "tid": 0}
+        yield {"args": {"name": name}, "name": "thread_name",
+               "ph": "M", "pid": pid, "tid": 0}
 
 
-def _request_events(scope: "FleetScope") -> list:
+def _request_events(scope: "FleetScope") -> "Iterator[dict]":
     """Async begin/end pair + retry instants per request record."""
-    events = []
     for record in scope.records:
-        ident = str(record.trace_id)
+        trace_id = record.trace_id
+        ident = str(trace_id)
         name = f"request:{record.klass}"
-        events.append({
-            "ph": "b", "cat": "fleet", "id": ident, "name": name,
-            "pid": REQUESTS_TRACK, "tid": 0, "ts": record.arrival,
-            "args": {"trace_id": record.trace_id,
-                     "class": record.klass}})
+        yield {
+            "args": {"class": record.klass, "trace_id": trace_id},
+            "cat": "fleet", "id": ident, "name": name, "ph": "b",
+            "pid": REQUESTS_TRACK, "tid": 0, "ts": record.arrival}
         for ts, replica, reason in record.retries:
-            events.append({
-                "ph": "i", "cat": "fleet", "s": "t",
-                "name": f"retry:{replica}",
-                "pid": REQUESTS_TRACK, "tid": 0, "ts": ts,
-                "args": {"trace_id": record.trace_id,
-                         "reason": reason}})
-        events.append({
-            "ph": "e", "cat": "fleet", "id": ident, "name": name,
-            "pid": REQUESTS_TRACK, "tid": 0, "ts": record.end,
-            "args": {"trace_id": record.trace_id,
-                     "status": record.status,
-                     "replica": record.replica,
-                     "attempts": record.attempts,
+            yield {
+                "args": {"reason": reason, "trace_id": trace_id},
+                "cat": "fleet", "name": f"retry:{replica}", "ph": "i",
+                "pid": REQUESTS_TRACK, "s": "t", "tid": 0, "ts": ts}
+        yield {
+            "args": {"attempts": record.attempts,
                      "latency": record.latency,
                      "queue_wait": record.queue_wait,
-                     "service_cycles": record.service_cycles}})
-    return events
+                     "replica": record.replica,
+                     "service_cycles": record.service_cycles,
+                     "status": record.status,
+                     "trace_id": trace_id},
+            "cat": "fleet", "id": ident, "name": name, "ph": "e",
+            "pid": REQUESTS_TRACK, "tid": 0, "ts": record.end}
 
 
-def _hop_events(scope: "FleetScope") -> list:
+def _hop_events(scope: "FleetScope") -> "Iterator[dict]":
     """One instant per fabric crossing."""
-    events = []
     for hop in scope.hops:
-        args = {"bytes": hop.nbytes}
-        if hop.trace_id is not None:
-            args["trace_id"] = hop.trace_id
-            args["span_id"] = hop.span_id
-        events.append({
-            "ph": "i", "cat": "fleet", "s": "t",
-            "name": f"{hop.src}->{hop.dst}",
-            "pid": FABRIC_TRACK, "tid": 0, "ts": hop.ts, "args": args})
-    return events
+        if hop.trace_id is None:
+            args = {"bytes": hop.nbytes}
+        else:
+            args = {"bytes": hop.nbytes, "span_id": hop.span_id,
+                    "trace_id": hop.trace_id}
+        yield {
+            "args": args, "cat": "fleet", "name": f"{hop.src}->{hop.dst}",
+            "ph": "i", "pid": FABRIC_TRACK, "s": "t", "tid": 0,
+            "ts": hop.ts}
 
 
-def _fault_events(scope: "FleetScope", tracer) -> list:
+def _fault_events(scope: "FleetScope", tracer) -> "Iterator[dict]":
     """Scope-recorded faults + chaos instants lifted from the tracer."""
-    events = []
     for fault in scope.faults:
-        args = {"subject": fault.subject}
         if fault.detail:
-            args["detail"] = fault.detail
-        events.append({
-            "ph": "i", "cat": "fleet", "s": "t",
-            "name": f"fault:{fault.kind}",
-            "pid": CHAOS_TRACK, "tid": 0, "ts": fault.ts, "args": args})
+            args = {"detail": fault.detail, "subject": fault.subject}
+        else:
+            args = {"subject": fault.subject}
+        yield {
+            "args": args, "cat": "fleet", "name": f"fault:{fault.kind}",
+            "ph": "i", "pid": CHAOS_TRACK, "s": "t", "tid": 0,
+            "ts": fault.ts}
     for event in tracer.events:
         if event.phase != "i":
             continue
@@ -116,12 +111,10 @@ def _fault_events(scope: "FleetScope", tracer) -> list:
                 event.category == "cluster" and
                 event.name in _LIFTED_CLUSTER_INSTANTS):
             continue
-        events.append({
-            "ph": "i", "cat": "fleet", "s": "t",
-            "name": f"fault:{event.name}",
-            "pid": CHAOS_TRACK, "tid": 0, "ts": event.ts,
-            "args": event.args_dict()})
-    return events
+        yield {
+            "args": event.args_dict(), "cat": "fleet",
+            "name": f"fault:{event.name}", "ph": "i", "pid": CHAOS_TRACK,
+            "s": "t", "tid": 0, "ts": event.ts}
 
 
 def scope_snapshot(scope: "FleetScope") -> dict:
@@ -136,29 +129,45 @@ def scope_snapshot(scope: "FleetScope") -> dict:
     }
 
 
+def _merged_events(tracer, scope: "FleetScope") -> "Iterator[dict]":
+    """The per-machine events, then the fleet-level tracks."""
+    yield from event_dicts(tracer)
+    yield from _track_metadata()
+    yield from _request_events(scope)
+    yield from _hop_events(scope)
+    yield from _fault_events(scope, tracer)
+
+
+def _merged_other_data(tracer, scope: "FleetScope") -> dict:
+    """The per-machine ``otherData`` plus the scope snapshot."""
+    data = other_data(tracer)
+    data["scope"] = scope_snapshot(scope)
+    return data
+
+
 def merged_chrome_trace(tracer, scope: "FleetScope") -> dict:
     """The per-machine trace plus the fleet-level tracks, one object."""
-    trace = chrome_trace(tracer)
-    events = trace["traceEvents"]
-    events.extend(_track_metadata())
-    events.extend(_request_events(scope))
-    events.extend(_hop_events(scope))
-    events.extend(_fault_events(scope, tracer))
-    trace["otherData"]["scope"] = scope_snapshot(scope)
-    return trace
+    return {
+        "displayTimeUnit": "ns",
+        "otherData": _merged_other_data(tracer, scope),
+        "traceEvents": list(_merged_events(tracer, scope)),
+    }
 
 
 def dumps_merged_trace(tracer, scope: "FleetScope") -> str:
     """Serialize deterministically (sorted keys, no whitespace)."""
-    return json.dumps(merged_chrome_trace(tracer, scope),
-                      sort_keys=True, separators=(",", ":"))
+    return "".join(json_chunks(_merged_other_data(tracer, scope),
+                               _merged_events(tracer, scope)))
 
 
 def write_merged_trace(tracer, scope: "FleetScope", path) -> None:
-    """Write the merged fleet Chrome trace-event JSON to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_merged_trace(tracer, scope))
-        fh.write("\n")
+    """Write the merged fleet Chrome trace-event JSON to ``path``.
+
+    The event dicts are built and written a batch at a time
+    (:func:`~repro.trace.export.json_chunks`).
+    """
+    write_chunks(json_chunks(_merged_other_data(tracer, scope),
+                             _merged_events(tracer, scope)), path)
 
 
 def write_scope_json(scope: "FleetScope", path) -> None:

@@ -71,11 +71,16 @@ class EventHeap:
     Thin and explicit on purpose: the only state is the heap list and
     the push counter, so two runs that push the same events pop the
     same order -- there is nothing else for divergence to hide in.
+    Entries are ``(ts, rank, seq, event)`` tuples, so ``heapq``
+    compares plain ints (``seq`` is unique, so no comparison reaches
+    the event).  The ``VEIL_SURGE_CHECK`` knob is read once, when the
+    heap is built.
     """
 
     def __init__(self):
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._pushed = 0
+        self._check = surge_check_enabled()
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -84,22 +89,23 @@ class EventHeap:
         """Schedule ``fn`` at ``(ts, rank)``; returns the event."""
         if ts < 0:
             raise SimulationError(f"event timestamp {ts} is negative")
-        event = Event(ts=ts, rank=rank, seq=self._pushed, fn=fn)
-        self._pushed += 1
-        heapq.heappush(self._heap, event)
+        seq = self._pushed
+        event = Event(ts=ts, rank=rank, seq=seq, fn=fn)
+        self._pushed = seq + 1
+        heapq.heappush(self._heap, (ts, rank, seq, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("pop from an empty event heap")
-        if surge_check_enabled():
+        if self._check:
             self._validate()
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def peek(self) -> Event | None:
         """The earliest event without removing it (None when empty)."""
-        return self._heap[0] if self._heap else None
+        return self._heap[0][3] if self._heap else None
 
     def _validate(self) -> None:
         """Debug-knob invariant check: the heap property holds."""

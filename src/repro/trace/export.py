@@ -18,8 +18,14 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
+import typing
+from itertools import islice
+from operator import attrgetter
 
-from .tracer import PHASE_INSTANT, PHASE_SPAN, Tracer
+from .tracer import PHASE_SPAN, Tracer
+
+if typing.TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 #: Display names for the VMPL tracks (Veil's domain naming).
 VMPL_TRACK_NAMES = {
@@ -32,71 +38,137 @@ VMPL_TRACK_NAMES = {
 #: pid/tid used for events with no core / VMPL attribution.
 UNATTRIBUTED_TRACK = 99
 
+#: Reads an event's ``(vcpu, vmpl)`` attribution pair in C.
+_vcpu_vmpl = attrgetter("vcpu", "vmpl")
+
+#: Event dicts per encoder call.  Exports build and encode the event
+#: array a batch at a time, so no export holds every event dict (or,
+#: when writing a file, all of the event text) at once; a small batch
+#: also stays in cache (256 wrote the flagship trace faster than 4096).
+EXPORT_BATCH = 256
+
+#: Encodes event batches.  Event dicts are built in sorted key order
+#: and fresh from immutable events, so they need neither ``sort_keys``
+#: nor the encoder's per-container cycle check.
+_IN_ORDER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+#: Encodes ``otherData``; the output is sorted by key at every level.
+_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _track(value: int) -> int:
     """Map an attribution value onto a non-negative pid/tid."""
     return UNATTRIBUTED_TRACK if value < 0 else value
 
 
-def chrome_trace(tracer: Tracer) -> dict:
-    """Render the tracer's ring buffer as a Chrome trace-event object."""
-    events: list[dict] = []
-    tracks: set[tuple[int, int]] = set()
-    for event in tracer.events:
-        tracks.add((_track(event.vcpu), _track(event.vmpl)))
+def _args_with_pid(args: tuple, pid: int) -> dict:
+    """An attributed event's args dict with ``pid`` folded in, in order.
+
+    ``args`` is the event's sorted ``(key, value)`` tuple, and every
+    dict inside its values was sorted when recorded, so only ``pid``
+    can land out of sorted key order.
+    """
+    out = dict(args)
+    out["pid"] = pid
+    if args and args[-1][0] > "pid":
+        out = dict(sorted(out.items()))
+    return out
+
+
+def event_dicts(tracer: Tracer) -> "Iterator[dict]":
+    """The tracer's ring as Chrome trace-event dicts, track names first.
+
+    Every dict is built in sorted key order, as :func:`json_chunks`
+    requires.
+    """
+    tracks = {(_track(vcpu), _track(vmpl)) for vcpu, vmpl in
+              set(map(_vcpu_vmpl, tracer.events))}
 
     # Metadata events first: name each (vcpu, VMPL) track.
     for vcpu in sorted({pid for pid, _ in tracks}):
         name = ("unattributed" if vcpu == UNATTRIBUTED_TRACK
                 else f"vcpu{vcpu}")
-        events.append({"ph": "M", "name": "process_name", "pid": vcpu,
-                       "tid": 0, "args": {"name": name}})
+        yield {"args": {"name": name}, "name": "process_name",
+               "ph": "M", "pid": vcpu, "tid": 0}
     for vcpu, vmpl in sorted(tracks):
         name = VMPL_TRACK_NAMES.get(vmpl, "unattributed")
-        events.append({"ph": "M", "name": "thread_name", "pid": vcpu,
-                       "tid": vmpl, "args": {"name": name}})
+        yield {"args": {"name": name}, "name": "thread_name",
+               "ph": "M", "pid": vcpu, "tid": vmpl}
 
-    for event in tracer.events:
-        record = {
-            "ph": event.phase,
-            "cat": event.category,
-            "name": event.name,
-            "pid": _track(event.vcpu),
-            "tid": _track(event.vmpl),
-            "ts": event.ts,
-            "args": event.args_dict(),
-        }
-        if event.phase == PHASE_SPAN:
-            record["dur"] = event.dur
-        elif event.phase == PHASE_INSTANT:
-            record["s"] = "t"          # thread-scoped instant
-        if event.pid >= 0:
-            record["args"]["pid"] = event.pid
-        events.append(record)
+    unattributed = UNATTRIBUTED_TRACK
+    # Per event: its core is the Chrome pid, its domain the tid.
+    for phase, cat, name, ts, dur, core, domain, pid, _seq, args in \
+            tracer.events:
+        args = dict(args) if pid < 0 else _args_with_pid(args, pid)
+        if core < 0:
+            core = unattributed
+        if domain < 0:
+            domain = unattributed
+        if phase == PHASE_SPAN:
+            yield {"args": args, "cat": cat, "dur": dur, "name": name,
+                   "ph": phase, "pid": core, "tid": domain, "ts": ts}
+        else:                                  # thread-scoped instant
+            yield {"args": args, "cat": cat, "name": name, "ph": phase,
+                   "pid": core, "s": "t", "tid": domain, "ts": ts}
 
+
+def other_data(tracer: Tracer) -> dict:
+    """The trace's ``otherData``: clock, ring counts and the metrics."""
     return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "clock": "virtual-cycles",
-            "dropped_events": tracer.dropped,
-            "recorded_events": tracer.recorded,
-            "metrics": tracer.metrics.dump(),
-        },
+        "clock": "virtual-cycles",
+        "dropped_events": tracer.dropped,
+        "metrics": tracer.metrics.dump(),
+        "recorded_events": tracer.recorded,
     }
+
+
+def chrome_trace(tracer: Tracer) -> dict:
+    """Render the tracer's ring buffer as a Chrome trace-event object."""
+    return {
+        "displayTimeUnit": "ns",
+        "otherData": other_data(tracer),
+        "traceEvents": list(event_dicts(tracer)),
+    }
+
+
+def json_chunks(data: dict, events: "Iterable[dict]") -> "Iterator[str]":
+    """A trace object's JSON text, in pieces.
+
+    The pieces join to ``json.dumps({"displayTimeUnit": "ns",
+    "otherData": data, "traceEvents": list(events)}, sort_keys=True,
+    separators=(",", ":"))``.  ``data`` is key-sorted at every level.
+    The event dicts, the bulk of the bytes, are written as built, a
+    batch of :data:`EXPORT_BATCH` per encoder call: each must already
+    be in sorted key order, as :func:`event_dicts` and the fleet
+    exporter build them.
+    """
+    yield '{"displayTimeUnit":"ns","otherData":'
+    yield _SORTED.encode(data)
+    yield ',"traceEvents":['
+    events = iter(events)
+    separator = ""
+    while batch := list(islice(events, EXPORT_BATCH)):
+        yield separator + _IN_ORDER.encode(batch)[1:-1]
+        separator = ","
+    yield "]}"
+
+
+def write_chunks(chunks: "Iterable[str]", path) -> None:
+    """Write a trace's JSON pieces, then a newline, to ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+        fh.write("\n")
 
 
 def dumps_chrome_trace(tracer: Tracer) -> str:
     """Serialize deterministically (sorted keys, no whitespace)."""
-    return json.dumps(chrome_trace(tracer), sort_keys=True,
-                      separators=(",", ":"))
+    return "".join(json_chunks(other_data(tracer), event_dicts(tracer)))
 
 
 def write_chrome_trace(tracer: Tracer, path) -> None:
     """Write the Chrome trace-event JSON for ``tracer`` to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_chrome_trace(tracer))
-        fh.write("\n")
+    write_chunks(json_chunks(other_data(tracer), event_dicts(tracer)),
+                 path)
 
 
 def validate_chrome_trace(obj) -> list[str]:

@@ -208,6 +208,10 @@ class MetricsRegistry:
         self.counters: Counter[str] = Counter()
         self.histograms: dict[str, CycleHistogram] = {}
         self.latencies: dict[str, LatencyHistogram] = {}
+        #: The tracer's record-path cache: ``(phase, category, name)``
+        #: -> ``(counter key, cycles histogram or None)``.  It lives on
+        #: the registry so a new registry starts with an empty cache.
+        self.trace_slots: dict[tuple, tuple] = {}
 
     def count(self, name: str, key: str | None = None, n: int = 1) -> None:
         """Increment counter ``name`` (or ``name/key``) by ``n``."""
@@ -215,11 +219,15 @@ class MetricsRegistry:
 
     def observe(self, name: str, key: str, cycles: int) -> None:
         """Record ``cycles`` into histogram ``name/key``."""
+        self.cycle_histogram(name, key).observe(cycles)
+
+    def cycle_histogram(self, name: str, key: str) -> CycleHistogram:
+        """The histogram at ``name/key``, created empty if missing."""
         full = f"{name}/{key}"
         hist = self.histograms.get(full)
         if hist is None:
             hist = self.histograms[full] = CycleHistogram()
-        hist.observe(cycles)
+        return hist
 
     def record_latency(self, name: str, key: str, cycles: int) -> None:
         """Record ``cycles`` into the percentile-grade ``name/key``

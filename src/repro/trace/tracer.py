@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import typing
 from collections import deque
-from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 from .metrics import NULL_METRICS, MetricsRegistry
 
@@ -41,9 +42,13 @@ PHASE_INSTANT = "i"       # point event
 UNATTRIBUTED = -1
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded span or instant, timestamped in virtual cycles."""
+class TraceEvent(typing.NamedTuple):
+    """One recorded span or instant, timestamped in virtual cycles.
+
+    An immutable, tuple-backed record: no per-instance ``__dict__``,
+    field-wise equality and hashing, and construction in C on the
+    record path.
+    """
 
     phase: str             # PHASE_SPAN or PHASE_INSTANT
     category: str          # layer taxonomy: "hw", "hv", "syscall", ...
@@ -66,6 +71,17 @@ class TraceEvent:
         return dict(self.args)
 
 
+#: Builds a :class:`TraceEvent` from a field tuple without a Python
+#: ``__new__`` frame.
+_new_event = tuple.__new__
+
+#: Reads ``.total`` off a ledger (or anything with one) in C.
+_read_total = attrgetter("total")
+
+#: Arg value types that are already JSON-exportable as themselves.
+_FLAT_TYPES = frozenset({str, int, bool, float, type(None)})
+
+
 def _coerce_value(value):
     """Coerce one span-arg value into a JSON-exportable form.
 
@@ -74,6 +90,8 @@ def _coerce_value(value):
     pass through, bytes become hex, containers recurse, and anything
     else is captured as ``repr()`` (callers owe a deterministic repr —
     the byte-identical-trace parity tests catch one that isn't).
+    Mappings come back with their keys in sorted order, so every dict
+    in a recorded event is already in the order the exporter writes.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -82,7 +100,8 @@ def _coerce_value(value):
     if isinstance(value, (tuple, list)):
         return [_coerce_value(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _coerce_value(v) for k, v in value.items()}
+        coerced = {str(k): _coerce_value(v) for k, v in value.items()}
+        return dict(sorted(coerced.items()))
     return repr(value)
 
 
@@ -91,11 +110,37 @@ def _freeze_args(args) -> tuple:
 
     Values are coerced (:func:`_coerce_value`) here rather than at
     export, so every recorded :class:`TraceEvent` is serializable by
-    construction.
+    construction.  Flat args (``str`` keys, values of exact type
+    ``str``/``int``/``bool``/``float``/``None``) need no coercion and
+    take a fast path to the same tuple: dict keys are unique, so the
+    sort never compares values.
     """
-    if not args:
-        return ()
-    return tuple(sorted((str(k), _coerce_value(v)) for k, v in args.items()))
+    items = args.items()
+    for key, value in items:
+        if type(key) is not str or type(value) not in _FLAT_TYPES:
+            return tuple(sorted((str(k), _coerce_value(v))
+                                for k, v in items))
+    return tuple(sorted(items))
+
+
+def _trace_slot(metrics: MetricsRegistry, phase: str, category: str,
+                name: str) -> tuple:
+    """Resolve and cache what one ``(phase, category, name)`` feeds.
+
+    A span feeds counter ``span/<category>:<name>`` and histogram
+    ``cycles/<category>:<name>``; an instant feeds counter
+    ``event/<category>:<name>`` only.  The pair lives in the registry's
+    :attr:`~repro.trace.metrics.MetricsRegistry.trace_slots`, so a fresh
+    registry (after :meth:`Tracer.clear`, or assigned directly) starts
+    with an empty cache.
+    """
+    key = f"{category}:{name}"
+    if phase == PHASE_SPAN:
+        slot = (f"span/{key}", metrics.cycle_histogram("cycles", key))
+    else:
+        slot = (f"event/{key}", None)
+    metrics.trace_slots[(phase, category, name)] = slot
+    return slot
 
 
 class _Span:
@@ -121,12 +166,12 @@ class _Span:
         self._begin = 0
 
     def __enter__(self) -> "_Span":
-        self._begin = self._tracer.now()
+        self._begin = self._tracer._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tracer = self._tracer
-        dur = tracer.now() - self._begin
+        dur = tracer._clock() - self._begin
         if dur < 0:            # clock re-attached mid-span; clamp
             dur = 0
         tracer._record(PHASE_SPAN, self._category, self._name,
@@ -167,8 +212,12 @@ class Tracer:
         construction.  A tracer shared across several machines (the
         benchmark fixture) is re-attached by each; spans straddling an
         attach clamp their duration at zero rather than going negative.
+        The clock reads ``ledger.total`` through ``operator.attrgetter``
+        (no lambda frame); a plain ledger attribute is read entirely in
+        C, and a clock property such as ``FleetClock.total`` costs only
+        its own getter.
         """
-        self._clock = lambda: ledger.total
+        self._clock = partial(_read_total, ledger)
 
     def now(self) -> int:
         """Current virtual time (cycles)."""
@@ -186,24 +235,26 @@ class Tracer:
                 vcpu: int = UNATTRIBUTED, vmpl: int = UNATTRIBUTED,
                 pid: int = UNATTRIBUTED, args: dict | None = None) -> None:
         """Record a point event at the current cycle timestamp."""
-        self._record(PHASE_INSTANT, category, name, self.now(), 0,
+        self._record(PHASE_INSTANT, category, name, self._clock(), 0,
                      vcpu, vmpl, pid, args)
 
     def _record(self, phase: str, category: str, name: str, ts: int,
                 dur: int, vcpu: int, vmpl: int, pid: int, args) -> None:
-        self.recorded += 1
-        if len(self.events) == self.capacity:
+        self.recorded = seq = self.recorded + 1
+        events = self.events
+        if len(events) == self.capacity:
             self.dropped += 1
-        self.events.append(TraceEvent(
-            phase=phase, category=category, name=name, ts=ts, dur=dur,
-            vcpu=vcpu, vmpl=vmpl, pid=pid, seq=self.recorded,
-            args=_freeze_args(args)))
-        key = f"{category}:{name}"
-        if phase == PHASE_SPAN:
-            self.metrics.count("span", key)
-            self.metrics.observe("cycles", key, dur)
-        else:
-            self.metrics.count("event", key)
+        events.append(_new_event(TraceEvent, (
+            phase, category, name, ts, dur, vcpu, vmpl, pid, seq,
+            _freeze_args(args) if args else ())))
+        metrics = self.metrics
+        slot = metrics.trace_slots.get((phase, category, name))
+        if slot is None:
+            slot = _trace_slot(metrics, phase, category, name)
+        counter, histogram = slot
+        metrics.counters[counter] += 1
+        if histogram is not None:
+            histogram.observe(dur)
 
     # -- queries ----------------------------------------------------------
 

@@ -30,6 +30,35 @@ class TestAccessFlags:
         assert not Access.rw() & Access.SEXEC
 
 
+class TestAllowsBitTest:
+    def test_allows_matches_flag_arithmetic_for_every_pair(self):
+        from repro.hw.rmp import RmpEntry
+
+        kinds = (Access.READ, Access.WRITE, Access.UEXEC, Access.SEXEC)
+        values = [Access.NONE]
+        for kind in kinds:
+            values += [value | kind for value in values]
+        for perms in values:
+            entry = RmpEntry(perms=[Access.NONE, perms, perms, perms])
+            for access in values:
+                expected = (perms & access) == access
+                for vmpl in (1, 2, 3):
+                    assert entry.allows(vmpl, access) == expected
+                assert entry.allows(0, access)
+
+    def test_denial_message_names_the_flag(self):
+        rmp = make_rmp()
+        ppn = assigned_page(rmp)
+        with pytest.raises(NestedPageFault,
+                           match=r"VMPL-2 lacks <Access.WRITE: 2> on page"):
+            rmp.check_access(ppn=ppn, vmpl=2, access=Access.WRITE)
+        rmp.share(5)
+        with pytest.raises(NestedPageFault,
+                           match="execute from shared page 0x5"):
+            rmp.check_access(ppn=5, vmpl=1,
+                             access=Access.READ | Access.UEXEC)
+
+
 class TestVmpl0Privilege:
     def test_vmpl0_always_allowed(self):
         rmp = make_rmp()

@@ -40,6 +40,19 @@ class TestEventOrdering:
         heap.push(1, ARRIVAL, object())
         assert heap.pop().seq < heap.pop().seq
 
+    def test_heap_orders_on_ints_without_comparing_events(self,
+                                                        monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("an Event was compared")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        heap = EventHeap()
+        for ts in (9, 3, 9, 1, 3):
+            heap.push(ts, ARRIVAL, lambda: None)
+        popped = [heap.pop() for _ in range(5)]
+        assert [(e.ts, e.seq) for e in popped] == \
+            [(1, 3), (3, 1), (3, 4), (9, 0), (9, 2)]
+
     def test_kind_names_the_rank(self):
         assert Event(ts=0, rank=COMPLETION, seq=0,
                      fn=lambda: None).kind == "completion"
@@ -68,6 +81,16 @@ class TestInvariantKnob:
         for ts in (5, 10, 15):
             heap.push(ts, ARRIVAL, lambda: None)
         # Violate the heap property behind the API's back.
+        heap._heap[0], heap._heap[-1] = heap._heap[-1], heap._heap[0]
+        with pytest.raises(SimulationError, match="invariant"):
+            heap.pop()
+
+    def test_knob_is_read_once_when_the_heap_is_built(self, monkeypatch):
+        monkeypatch.setenv("VEIL_SURGE_CHECK", "1")
+        heap = EventHeap()
+        monkeypatch.delenv("VEIL_SURGE_CHECK")
+        for ts in (5, 10, 15):
+            heap.push(ts, ARRIVAL, lambda: None)
         heap._heap[0], heap._heap[-1] = heap._heap[-1], heap._heap[0]
         with pytest.raises(SimulationError, match="invariant"):
             heap.pop()
